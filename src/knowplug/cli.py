@@ -14,10 +14,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .datagen import GeneratorConfig, generate
-from .harness import (ExperimentConfig, GridCell, default_grid, ensure_data,
+from .harness import (MODES, ExperimentConfig, GridCell, default_grid, ensure_data,
                       format_config, format_grid, parse_config, run_experiment,
                       run_experiment_grid, save_grid)
 from .gkc import GkcServer, VersionStore
+
+
+MODE_ALIASES = {"merge": "sample_merging", "keep-c": "keep_c"}
 
 
 def _log(msg: str) -> None:
@@ -138,12 +141,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("train", help="train a downstream model")
     _add_common_run(p)
-    p.add_argument("--mode", default="keep",
-                   choices=["base", "merge", "keep", "keep-c"])
-    p.add_argument("--plug-layer", type=int, default=-3)
+    p.add_argument("--mode", default="keep", choices=[*MODES, *MODE_ALIASES])
+    p.add_argument("--plug-layer", type=int, default=ExperimentConfig.plug_layer)
     p.add_argument("--knowledge", default="model",
-                   help="knowledge source: model | snapshot | gkc:<host>:<port>")
-    p.add_argument("--version", type=int, default=1)
+                   help="knowledge source of the keep_decomposed, keep_degenerated "
+                        "and keep_decomp_degen modes: model | snapshot | "
+                        "gkc:<host>:<port>")
+    p.add_argument("--version", type=int, default=1,
+                   help="knowledge version the serving modes build and read")
 
     p = sub.add_parser("serve", help="run the knowledge cache service")
     p.add_argument("--host", default="127.0.0.1")
@@ -160,9 +165,8 @@ def main(argv=None) -> int:
     p.add_argument("--print-config", action="store_true")
 
     args = parser.parse_args(argv)
-    mode_alias = {"merge": "sample_merging", "keep-c": "keep_c"}
-    if getattr(args, "mode", None) in mode_alias:
-        args.mode = mode_alias[args.mode]
+    if getattr(args, "mode", None) in MODE_ALIASES:
+        args.mode = MODE_ALIASES[args.mode]
     cmd = {"gen": _cmd_gen, "pretrain": _cmd_pretrain, "train": _cmd_train,
            "serve": _cmd_serve, "experiment": _cmd_experiment}[args.command]
     return cmd(args)

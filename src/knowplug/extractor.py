@@ -20,14 +20,14 @@ on the architecture config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .datagen import Catalog, ImpressionRecord, RecordBatch, day_order
 from .features import SparseFeatureNet, assign_params, batch_features
-from .nncore import AdamState, MlpStack, adam_step
+from .nncore import AdamState, MlpStack, Module, adam_update
 
 TASKS = ("click", "conversion", "cart")
 
@@ -68,7 +68,7 @@ class PretrainConfig:
             raise ValueError("batch_size must be positive, triplet_cap >= 0")
 
 
-class ExtractorModel:
+class ExtractorModel(Module):
     def __init__(self, cfg: ExtractorConfig, catalog: Catalog | None = None):
         cfg.validate()
         self.cfg = cfg
@@ -86,12 +86,7 @@ class ExtractorModel:
     def walk_slots(self):
         yield from self.encoder.walk_slots()
         for task, head in self.heads.items():
-            for i, layer in enumerate(head.layers):
-                yield f"head_{task}_l{i}_w", layer, "weight"
-                yield f"head_{task}_l{i}_b", layer, "bias"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+            yield from head.slots(f"head_{task}")
 
     def _head(self, task: str) -> MlpStack:
         try:
@@ -109,55 +104,24 @@ class ExtractorModel:
                        grads: dict[str, np.ndarray]) -> None:
         task = cache["task"]
         dout = np.stack([dlogit, -dlogit], axis=1)
-        head_grads, dx = self._head(task).backward(cache["x"], cache["trace"], dout)
-        for i, (dw, db) in enumerate(head_grads):
-            _acc(grads, f"head_{task}_l{i}_w", dw)
-            _acc(grads, f"head_{task}_l{i}_b", db)
+        head = self._head(task)
+        head_grads, dx = head.backward(cache["x"], cache["trace"], dout)
+        head.add_grads(grads, f"head_{task}", head_grads)
         self.encoder.backward(cache["enc"], dx, grads)
 
     # -- persistence ---------------------------------------------------
 
     def save(self, path, optimizer: AdamState | None = None,
              extra: dict | None = None) -> None:
-        tensors = dict(self.params())
-        meta = dict(extra or {})
-        if optimizer is not None:
-            tensors.update(ckpt.optimizer_tensors(optimizer))
-            meta["adam_step"] = optimizer.step
-            meta["adam_lr"] = optimizer.lr
-        ckpt.save_checkpoint(path, "extractor", _config_dict(self.cfg), tensors, meta)
+        ckpt.save_checkpoint(path, "extractor", self.cfg, self.params(), extra, optimizer)
 
     @classmethod
     def load(cls, path, catalog: Catalog | None = None
              ) -> tuple["ExtractorModel", AdamState | None, dict]:
-        kind, config, tensors, extra = ckpt.load_checkpoint(path)
-        if kind != "extractor":
-            raise ckpt.CheckpointError(f"{path}: expected an extractor checkpoint, got '{kind}'")
-        config["head_dims"] = tuple(config["head_dims"])
-        config["tasks"] = tuple(config["tasks"])
-        model = cls(ExtractorConfig(**config), catalog=catalog)
-        params = {k: v for k, v in tensors.items() if not k.startswith("adam.")}
-        assign_params(model.walk_slots(), params)
-        opt = None
-        if "adam_step" in extra:
-            opt = AdamState(lr=float(extra["adam_lr"]))
-            ckpt.restore_optimizer(opt, tensors, extra)
-        return model, opt, extra
-
-
-def _config_dict(cfg) -> dict:
-    d = asdict(cfg)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = list(v)
-    return d
-
-
-def _acc(grads: dict, name: str, g: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
+        c = ckpt.load_checkpoint(path, "extractor")
+        model = cls(ckpt.config_from(ExtractorConfig, c.config), catalog=catalog)
+        assign_params(model.walk_slots(), c.model_tensors())
+        return model, c.optimizer(), c.extra
 
 
 def score(model: ExtractorModel, record: ImpressionRecord, task: str) -> float:
@@ -301,6 +265,74 @@ class TaskLoss:
     n_triplets: int = 0
 
 
+class DaySteps:
+    """One day of a log cut into optimizer steps: the day's rows in seeded
+    order, `batch_size` to a step; an empty day has no steps. Triplets
+    added with pair() are spread evenly over the same steps."""
+
+    def __init__(self, log: RecordBatch, day: int, seed, batch_size: int):
+        self.rows = log.take(day_order(log.day, [day], seed))
+        self.batch_size = batch_size
+        self.steps = math.ceil(len(self.rows) / batch_size)
+        self._triplets: dict[str, tuple[RecordBatch, TripletBatch]] = {}
+
+    def pair(self, label: str, source: RecordBatch, cap: int, seed) -> None:
+        """Add `label`'s same-session triplets over `source`, seeded."""
+        self._triplets[label] = (source, day_triplets(source, label, cap, seed))
+
+    def batch(self, s: int) -> RecordBatch:
+        n = len(self.rows)
+        return self.rows.take(np.arange(s * self.batch_size,
+                                        min(n, (s + 1) * self.batch_size)))
+
+    def pairs(self, s: int) -> dict[str, tuple[RecordBatch, RecordBatch]]:
+        """Step s's share of each label's triplets: (positive rows, negative
+        rows); a label whose share is empty is left out."""
+        out = {}
+        for label, (src, t) in self._triplets.items():
+            lo = round(s * len(t) / self.steps)
+            hi = round((s + 1) * len(t) / self.steps)
+            if hi > lo:
+                out[label] = (src.take(t.pos_idx[lo:hi]), src.take(t.neg_idx[lo:hi]))
+        return out
+
+
+def with_pairs(base: RecordBatch,
+               pairs: tuple[RecordBatch, RecordBatch] | None) -> RecordBatch:
+    """One batch to score: `base`, then the positive and the negative rows
+    of `pairs`."""
+    parts = [b for b in (base, *(pairs or ())) if len(b)]
+    if len(parts) == 1:
+        return parts[0]
+    return RecordBatch.concat(parts) if parts else base
+
+
+def hybrid_loss_grad(logits: np.ndarray, labels: np.ndarray, alpha: float
+                     ) -> tuple[TaskLoss, np.ndarray]:
+    """Pointwise cross-entropy plus alpha times the pairwise logistic loss
+    over the logits of a with_pairs() batch, `labels` being its base rows';
+    returns the loss and d(loss)/d(logits) in the logits' dtype.
+
+    Scoring and the backward pass stay in the caller's loop on purpose: its
+    variables hold one forward cache until the next forward has returned,
+    so the allocator reuses that memory instead of returning it to the
+    system and faulting it back in at every step."""
+    n_base = len(labels)
+    n_trip = (len(logits) - n_base) // 2
+    point, dpoint = (0.0, np.empty(0)) if n_base == 0 else \
+        pointwise_loss_grad(logits[:n_base], labels)
+    if n_trip:
+        pair, dpos, dneg = pairwise_loss_grad(logits[n_base:n_base + n_trip],
+                                              logits[n_base + n_trip:])
+        dlogit = np.concatenate([dpoint, alpha * dpos, alpha * dneg])
+    else:
+        pair = 0.0
+        dlogit = dpoint
+    return (TaskLoss(point=point, pair=pair, hybrid=hybrid_loss(point, pair, alpha),
+                     n=n_base, n_triplets=n_trip),
+            dlogit.astype(logits.dtype))
+
+
 def joint_loss_and_grads(model: ExtractorModel, impression_batch: RecordBatch,
                          click_batch: RecordBatch, config: PretrainConfig,
                          triplets: dict[str, tuple[RecordBatch, RecordBatch]] | None = None
@@ -313,33 +345,13 @@ def joint_loss_and_grads(model: ExtractorModel, impression_batch: RecordBatch,
     losses: dict[str, TaskLoss] = {}
     for task in model.cfg.tasks:
         base = impression_batch if task == "click" else click_batch
-        trip = (triplets or {}).get(task)
-        n_base = len(base)
-        n_trip = len(trip[0]) if trip is not None else 0
-        if n_base == 0 and n_trip == 0:
+        full = with_pairs(base, (triplets or {}).get(task))
+        if len(full) == 0:
             losses[task] = TaskLoss()
             continue
-        parts = [base] if n_base else []
-        if n_trip:
-            parts.extend([trip[0], trip[1]])
-        full = parts[0] if len(parts) == 1 else RecordBatch.concat(parts)
         logits, cache = model.score_batch(full, task)
-        s_base = logits[:n_base]
-        point, dpoint = (0.0, np.empty(0)) if n_base == 0 else \
-            pointwise_loss_grad(s_base, getattr(base, task))
-        if n_trip:
-            s_pos = logits[n_base:n_base + n_trip]
-            s_neg = logits[n_base + n_trip:]
-            pair, dpos, dneg = pairwise_loss_grad(s_pos, s_neg)
-            dlogit = np.concatenate([dpoint, config.alpha * dpos,
-                                     config.alpha * dneg])
-        else:
-            pair = 0.0
-            dlogit = dpoint
-        model.backward_batch(cache, dlogit.astype(logits.dtype), grads)
-        losses[task] = TaskLoss(point=point, pair=pair,
-                                hybrid=hybrid_loss(point, pair, config.alpha),
-                                n=n_base, n_triplets=n_trip)
+        losses[task], dlogit = hybrid_loss_grad(logits, getattr(base, task), config.alpha)
+        model.backward_batch(cache, dlogit, grads)
     return losses, grads
 
 
@@ -359,11 +371,26 @@ def pretrain_step(model: ExtractorModel, optimizer: AdamState,
     """One Adam step on the joint loss over all model parameters."""
     losses, grads = joint_loss_and_grads(model, impression_batch, click_batch,
                                          config, triplets)
-    params = model.params()
-    full_grads = {k: grads[k] if k in grads else np.zeros_like(v)
-                  for k, v in params.items()}
-    adam_step(optimizer, params, full_grads)
+    adam_update(optimizer, model.params(), grads)
     return losses
+
+
+def pretrain_day(log: RecordBatch, day: int, tasks, config: PretrainConfig) -> DaySteps:
+    """A pre-training day: each task's triplets come from the impressions
+    it trains on (all for click, the clicked ones otherwise)."""
+    plan = DaySteps(log, day, config.seed, config.batch_size)
+    clicked = plan.rows.take(np.flatnonzero(plan.rows.click == 1))
+    for ti, task in enumerate(tasks):
+        plan.pair(task, plan.rows if task == "click" else clicked,
+                  config.triplet_cap, (config.seed, day, ti))
+    return plan
+
+
+def pretrain_day_step(model: ExtractorModel, optimizer: AdamState, plan: DaySteps,
+                      s: int, config: PretrainConfig) -> dict[str, TaskLoss]:
+    imp = plan.batch(s)
+    clk = imp.take(np.flatnonzero(imp.click == 1))
+    return pretrain_step(model, optimizer, imp, clk, config, plan.pairs(s))
 
 
 def pretrain(model: ExtractorModel, optimizer: AdamState, log: RecordBatch,
@@ -378,33 +405,10 @@ def pretrain(model: ExtractorModel, optimizer: AdamState, log: RecordBatch,
     for day in sorted(days):
         if start_after_day is not None and day <= start_after_day:
             continue
-        order = day_order(log.day, [day], config.seed)
-        day_batch = log.take(order)
-        clicked = day_batch.take(np.flatnonzero(day_batch.click == 1))
-        trips: dict[str, TripletBatch] = {}
-        sources: dict[str, RecordBatch] = {}
-        for ti, task in enumerate(model.cfg.tasks):
-            src = day_batch if task == "click" else clicked
-            trips[task] = day_triplets(src, task, config.triplet_cap,
-                                       (config.seed, day, ti))
-            sources[task] = src
-        n = len(day_batch)
-        steps = max(1, math.ceil(n / config.batch_size))
+        plan = pretrain_day(log, day, model.cfg.tasks, config)
         day_losses = {t: TaskLoss() for t in model.cfg.tasks}
-        for s in range(steps):
-            imp = day_batch.take(np.arange(s * config.batch_size,
-                                           min(n, (s + 1) * config.batch_size)))
-            clk = imp.take(np.flatnonzero(imp.click == 1))
-            step_trips = {}
-            for task in model.cfg.tasks:
-                t = trips[task]
-                lo = round(s * len(t) / steps)
-                hi = round((s + 1) * len(t) / steps)
-                if hi > lo:
-                    src = sources[task]
-                    step_trips[task] = (src.take(t.pos_idx[lo:hi]),
-                                        src.take(t.neg_idx[lo:hi]))
-            losses = pretrain_step(model, optimizer, imp, clk, config, step_trips)
+        for s in range(plan.steps):
+            losses = pretrain_day_step(model, optimizer, plan, s, config)
             for task, tl in losses.items():
                 agg = day_losses[task]
                 agg.point += tl.point

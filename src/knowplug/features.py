@@ -10,24 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nncore import AttentionPooler, EmbeddingTable, ShapeError
+from .nncore import AttentionPooler, EmbeddingTable, Module, ShapeError
 
 FEATURE_ORDER = ("user", "item", "shop", "category")
 
 
-class SparseFeatureNet:
+class SparseFeatureNet(Module):
     """Embeddings + pooled behavior concatenated into the MLP input.
 
     pool: 'attention' (DIN-style against pool_target's embedding),
     'mean' (masked average, for tower models with no candidate item), or
-    'none'.
+    'none'. Parameter names start with `prefix`, so two nets can sit in
+    one model.
     """
 
     def __init__(self, vocabs: dict[str, int], rng: np.random.Generator, *,
                  include: tuple[str, ...] = FEATURE_ORDER,
                  user_dim: int = 48, feature_dim: int = 16,
                  pool: str = "attention", pool_target: str = "item",
-                 att_hidden: int = 16):
+                 att_hidden: int = 16, prefix: str = ""):
         if pool == "attention" and pool_target not in include:
             raise ShapeError(f"attention target '{pool_target}' must be an included feature")
         self.include = tuple(f for f in FEATURE_ORDER if f in include)
@@ -35,6 +36,7 @@ class SparseFeatureNet:
         self.feature_dim = feature_dim
         self.pool = pool
         self.pool_target = pool_target
+        self.prefix = prefix
         self.tables: dict[str, EmbeddingTable] = {}
         for feat in self.include:
             dim = user_dim if feat == "user" else feature_dim
@@ -55,14 +57,9 @@ class SparseFeatureNet:
 
     def walk_slots(self):
         for feat, tab in self.tables.items():
-            yield f"emb_{feat}", tab, "rows"
+            yield f"{self.prefix}emb_{feat}", tab, "rows"
         if self.pooler is not None:
-            for i, layer in enumerate(self.pooler.att_mlp.layers):
-                yield f"att_l{i}_w", layer, "weight"
-                yield f"att_l{i}_b", layer, "bias"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+            yield from self.pooler.att_mlp.slots(f"{self.prefix}att")
 
     def forward(self, feats: dict[str, np.ndarray]) -> tuple[np.ndarray, dict]:
         parts = [self.tables[f].lookup(feats[f]) for f in self.include]
@@ -100,9 +97,7 @@ class SparseFeatureNet:
             if self.pool == "attention":
                 att_grads, dbehav, dtarget = self.pooler.backward_batch(cache["att"], dpooled)
                 dsegs[self.pool_target] = dsegs[self.pool_target] + dtarget
-                for i, (dw, db) in enumerate(att_grads):
-                    _acc(grads, f"att_l{i}_w", dw)
-                    _acc(grads, f"att_l{i}_b", db)
+                self.pooler.att_mlp.add_grads(grads, f"{self.prefix}att", att_grads)
             else:
                 dbehav = np.broadcast_to(
                     (dpooled / cache["mean_denom"][:, None])[:, None, :],
@@ -110,16 +105,11 @@ class SparseFeatureNet:
             dbehav = dbehav * mask[:, :, None]
             beh = cache["feats"]["behavior"]
             tab = self.tables["behavior"]
-            _scatter(grads, "emb_behavior", tab, np.where(mask, beh, 0), dbehav)
+            _scatter(grads, f"{self.prefix}emb_behavior", tab, np.where(mask, beh, 0),
+                     dbehav)
         for f in self.include:
-            _scatter(grads, f"emb_{f}", self.tables[f], cache["feats"][f], dsegs[f])
-
-
-def _acc(grads: dict, name: str, g: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g.copy()
+            _scatter(grads, f"{self.prefix}emb_{f}", self.tables[f], cache["feats"][f],
+                     dsegs[f])
 
 
 def _scatter(grads: dict, name: str, table: EmbeddingTable,
@@ -138,10 +128,6 @@ def batch_features(batch, include_user: bool = True) -> dict[str, np.ndarray]:
     if include_user:
         feats["user"] = batch.user_id
     return feats
-
-
-def zero_grads_like(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 class ManifestError(ValueError):
@@ -166,10 +152,3 @@ def assign_params(slots, new: dict[str, np.ndarray], dtype=np.float32) -> None:
         if val.shape != cur.shape:
             raise ManifestError(f"parameter '{name}': shape {val.shape} != {cur.shape}")
         setattr(obj, attr, val.copy())
-
-
-def cast_params(slots, dtype) -> None:
-    """Rebind every parameter slot to a copy in `dtype` (the
-    finite-difference oracle runs models in float64 this way)."""
-    for _, obj, attr in slots:
-        setattr(obj, attr, getattr(obj, attr).astype(dtype))

@@ -289,7 +289,6 @@ class GkcServer:
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
-        self._threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
         self._stopping = False
@@ -316,9 +315,7 @@ class GkcServer:
                 return
             with self._conn_lock:
                 self._conns.add(conn)
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         rfile = conn.makefile("rb")

@@ -36,18 +36,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Catalog, GeneratorConfig, RecordBatch, day_order, generate, \
-    load_log_columnar
-from .extractor import ExtractorConfig, ExtractorModel, PretrainConfig, TASKS, \
-    day_triplets, extract_knowledge_batch, knowledge_dim, knowledge_slices, pretrain, \
-    pretrain_step
+from .checkpoint import save_checkpoint
+from .datagen import Catalog, GeneratorConfig, RecordBatch, generate, load_log_columnar
+from .extractor import DaySteps, ExtractorConfig, ExtractorModel, PretrainConfig, TASKS, \
+    extract_knowledge_batch, knowledge_dim, knowledge_slices, pretrain, pretrain_day, \
+    pretrain_day_step
 from .gkc import GkcClient, LookupQuadruple
 from .nncore import AdamState
-from .plugnet import DownstreamConfig, DownstreamModel, PlugInNetwork, train_step, \
-    warm_start
+from .plugnet import PLUG_LAYER, DownstreamConfig, DownstreamModel, PlugInNetwork, \
+    train_step, warm_start
 from .servingkit import DecomposedConfig, DecomposedExtractor, DegeneratedConfig, \
-    DegeneratedExtractor, KnowledgeSnapshot, build_snapshot, load_snapshot, \
-    save_snapshot, train_click_epoch
+    DegeneratedExtractor, KnowledgeSnapshot, build_snapshot, load_serving_model, \
+    load_snapshot, save_snapshot, train_click_epoch
 
 MODES = ("base", "sample_merging", "keep", "keep_c", "keep_decomposed",
          "keep_degenerated", "keep_decomp_degen")
@@ -251,7 +251,7 @@ class ExperimentConfig:
     knowledge_version: int = 1
     knowledge_mask: tuple[str, ...] = ("k_u", "k_i", "k_ui")
     pretrain_tasks: tuple[str, ...] = TASKS
-    plug_layer: int = -4
+    plug_layer: int = PLUG_LAYER
     user_dim: int = 48
     feature_dim: int = 16
     head_dims: tuple[int, ...] = (64, 32, 16, 8, 2)
@@ -436,9 +436,8 @@ def _cache_tag(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:10]
 
 
-def pretrain_extractor_cached(bundle: DataBundle, cfg: ExperimentConfig, seed: int,
-                              days: tuple[int, ...], cache_dir: Path,
-                              log_fn=None) -> Path:
+def _extractor_configs(bundle: DataBundle, cfg: ExperimentConfig, seed: int
+                       ) -> tuple[ExtractorConfig, PretrainConfig]:
     g = bundle.gen_config
     ecfg = ExtractorConfig(
         user_vocab=g.n_users, item_vocab=g.n_items, shop_vocab=g.n_shops,
@@ -449,6 +448,13 @@ def pretrain_extractor_cached(bundle: DataBundle, cfg: ExperimentConfig, seed: i
     pcfg = PretrainConfig(alpha=cfg.alpha, batch_size=cfg.pretrain_batch,
                           lr=cfg.pretrain_lr, triplet_cap=cfg.triplet_cap,
                           seed=derive_seed(seed, "pretrain"))
+    return ecfg, pcfg
+
+
+def pretrain_extractor_cached(bundle: DataBundle, cfg: ExperimentConfig, seed: int,
+                              days: tuple[int, ...], cache_dir: Path,
+                              log_fn=None) -> Path:
+    ecfg, pcfg = _extractor_configs(bundle, cfg, seed)
     tag = _cache_tag("extractor", asdict(ecfg), asdict(pcfg), tuple(days))
     path = cache_dir / f"extractor_{tag}.ckpt"
     if path.exists():
@@ -479,8 +485,8 @@ def train_serving_models_cached(bundle: DataBundle, cfg: ExperimentConfig, seed:
         seed=derive_seed(seed, "degenerated"))
     tag = _cache_tag("serving", asdict(dcfg), asdict(gcfg), tuple(days),
                      cfg.pretrain_batch, cfg.pretrain_lr, cfg.alpha, cfg.triplet_cap)
-    dpath = cache_dir / f"decomposed_{tag}.npz"
-    gpath = cache_dir / f"degenerated_{tag}.npz"
+    dpath = cache_dir / f"decomposed_{tag}.ckpt"
+    gpath = cache_dir / f"degenerated_{tag}.ckpt"
     if dpath.exists() and gpath.exists():
         return dpath, gpath
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -495,28 +501,9 @@ def train_serving_models_cached(bundle: DataBundle, cfg: ExperimentConfig, seed:
     train_click_epoch(degenerated, opt2, bundle.super_log, days, cfg.pretrain_batch,
                       derive_seed(seed, "degenerated-order"), alpha=cfg.alpha,
                       triplet_cap=cfg.triplet_cap)
-    np.savez(dpath, **decomposed.params(), __cfg=json.dumps(asdict(dcfg)))
-    np.savez(gpath, **degenerated.params(), __cfg=json.dumps(asdict(gcfg)))
+    save_checkpoint(dpath, "decomposed", dcfg, decomposed.params())
+    save_checkpoint(gpath, "degenerated", gcfg, degenerated.params())
     return dpath, gpath
-
-
-def load_decomposed(path: Path) -> DecomposedExtractor:
-    z = np.load(path)
-    cfg = json.loads(str(z["__cfg"]))
-    model = DecomposedExtractor(DecomposedConfig(**cfg))
-    from .features import assign_params
-    assign_params(model.walk_slots(), {k: z[k] for k in z.files if k != "__cfg"})
-    return model
-
-
-def load_degenerated(path: Path) -> DegeneratedExtractor:
-    z = np.load(path)
-    cfg = json.loads(str(z["__cfg"]))
-    cfg["head_dims"] = tuple(cfg["head_dims"])
-    model = DegeneratedExtractor(DegeneratedConfig(**cfg))
-    from .features import assign_params
-    assign_params(model.walk_slots(), {k: z[k] for k in z.files if k != "__cfg"})
-    return model
 
 
 def build_snapshot_cached(bundle: DataBundle, cfg: ExperimentConfig, seed: int,
@@ -528,8 +515,8 @@ def build_snapshot_cached(bundle: DataBundle, cfg: ExperimentConfig, seed: int,
     path = cache_dir / f"snapshot_{tag}.snap"
     if path.exists():
         return path
-    decomposed = load_decomposed(dpath)
-    degenerated = load_degenerated(gpath)
+    decomposed = load_serving_model(dpath)
+    degenerated = load_serving_model(gpath)
     asof = max(days) + 1
     sup = bundle.super_log
     m = sup.day <= max(days)
@@ -564,18 +551,6 @@ def _downstream_config(bundle: DataBundle, cfg: ExperimentConfig, seed: int
         feature_dim=cfg.feature_dim, mlp_dims=cfg.mlp_dims,
         att_hidden=cfg.att_hidden, plug_layer=cfg.plug_layer,
         seed=derive_seed(seed, "downstream"))
-
-
-def _train_one_day(model: DownstreamModel, plug, opt, day_batch: RecordBatch,
-                   batch_size: int, knowledge_fn) -> int:
-    n = len(day_batch)
-    missing = 0
-    for lo in range(0, n, batch_size):
-        sl = np.arange(lo, min(n, lo + batch_size))
-        res = train_step(model, plug, day_batch.take(sl),
-                         knowledge_fn if knowledge_fn else _no_knowledge, opt)
-        missing += res.missing_knowledge
-    return missing
 
 
 def _no_knowledge(batch: RecordBatch):
@@ -645,10 +620,11 @@ def run_online_loop(bundle: DataBundle, cfg: ExperimentConfig, seed: int,
             opt = AdamState(lr=cfg.train_lr)
         else:
             model, plug, opt, _ = warm_start(prev_ckpt)
-        idx = day_order(train_log.day, [day], order_seed)
-        if len(idx):
-            missing += _train_one_day(model, plug, opt, train_log.take(idx),
-                                      cfg.train_batch, knowledge_fn)
+        plan = DaySteps(train_log, day, order_seed, cfg.train_batch)
+        for s in range(plan.steps):
+            res = train_step(model, plug, plan.batch(s), knowledge_fn or _no_knowledge,
+                             opt)
+            missing += res.missing_knowledge
         trained.append(day)
         model.save(ckpt_path, plug, opt,
                    extra={"cursor_day": day,
@@ -660,7 +636,7 @@ def run_online_loop(bundle: DataBundle, cfg: ExperimentConfig, seed: int,
             reports.append((day, rep))
             missing += m
         if log_fn:
-            log_fn(f"day {day}: trained {len(idx)} records")
+            log_fn(f"day {day}: trained {len(plan.rows)} records")
     model, plug, opt, _ = warm_start(prev_ckpt)
     final, m = evaluate(model, plug, knowledge_fn, test_batch, clicks)
     missing += m
@@ -677,16 +653,7 @@ def run_keep_c(bundle: DataBundle, cfg: ExperimentConfig, seed: int, run_dir: Pa
     cfg.validate()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    g = bundle.gen_config
-    ecfg = ExtractorConfig(
-        user_vocab=g.n_users, item_vocab=g.n_items, shop_vocab=g.n_shops,
-        category_vocab=g.n_categories, user_dim=cfg.user_dim,
-        feature_dim=cfg.feature_dim, head_dims=cfg.head_dims,
-        att_hidden=cfg.att_hidden, tasks=cfg.pretrain_tasks,
-        seed=derive_seed(seed, "extractor"))
-    pcfg = PretrainConfig(alpha=cfg.alpha, batch_size=cfg.pretrain_batch,
-                          lr=cfg.pretrain_lr, triplet_cap=cfg.triplet_cap,
-                          seed=derive_seed(seed, "pretrain"))
+    ecfg, pcfg = _extractor_configs(bundle, cfg, seed)
     extractor_model = ExtractorModel(ecfg, catalog=bundle.catalog)
     ext_opt = AdamState(lr=pcfg.lr)
     source = ExtractorKnowledge(extractor_model, cfg.knowledge_mask)
@@ -699,48 +666,21 @@ def run_keep_c(bundle: DataBundle, cfg: ExperimentConfig, seed: int, run_dir: Pa
     order_seed = derive_seed(seed, "train-order")
     missing = 0
     for day in sorted(cfg.train_days):
-        sup_idx = day_order(bundle.super_log.day, [day], pcfg.seed)
-        sup_day = bundle.super_log.take(sup_idx)
-        clicked = sup_day.take(np.flatnonzero(sup_day.click == 1))
-        trips = {}
-        sources = {}
-        for ti, task in enumerate(ecfg.tasks):
-            src = sup_day if task == "click" else clicked
-            trips[task] = day_triplets(src, task, pcfg.triplet_cap,
-                                       (pcfg.seed, day, ti))
-            sources[task] = src
-        ext_steps = max(1, math.ceil(len(sup_day) / pcfg.batch_size))
-
-        sub_idx = day_order(bundle.sub_log.day, [day], order_seed)
-        sub_day = bundle.sub_log.take(sub_idx)
-        down_steps = max(1, math.ceil(len(sub_day) / cfg.train_batch))
-
+        sup_day = pretrain_day(bundle.super_log, day, ecfg.tasks, pcfg)
+        sub_day = DaySteps(bundle.sub_log, day, order_seed, cfg.train_batch)
+        # extractor steps spread evenly between the downstream steps
+        slots = max(1, sub_day.steps)
         done = 0
-        for k in range(down_steps):
-            target = round((k + 1) * ext_steps / down_steps)
-            while done < target:
-                s = done
-                imp = sup_day.take(np.arange(s * pcfg.batch_size,
-                                             min(len(sup_day),
-                                                 (s + 1) * pcfg.batch_size)))
-                clk = imp.take(np.flatnonzero(imp.click == 1))
-                step_trips = {}
-                for task in ecfg.tasks:
-                    t = trips[task]
-                    lo = round(s * len(t) / ext_steps)
-                    hi = round((s + 1) * len(t) / ext_steps)
-                    if hi > lo:
-                        step_trips[task] = (sources[task].take(t.pos_idx[lo:hi]),
-                                            sources[task].take(t.neg_idx[lo:hi]))
-                pretrain_step(extractor_model, ext_opt, imp, clk, pcfg, step_trips)
+        for k in range(slots):
+            while done < round((k + 1) * sup_day.steps / slots):
+                pretrain_day_step(extractor_model, ext_opt, sup_day, done, pcfg)
                 done += 1
-            lo = k * cfg.train_batch
-            sl = np.arange(lo, min(len(sub_day), lo + cfg.train_batch))
-            if len(sl):
-                res = train_step(model, plug, sub_day.take(sl), source, opt)
+            if k < sub_day.steps:
+                res = train_step(model, plug, sub_day.batch(k), source, opt)
                 missing += res.missing_knowledge
         if log_fn:
-            log_fn(f"day {day}: co-trained {len(sup_day)} super / {len(sub_day)} sub")
+            log_fn(f"day {day}: co-trained {len(sup_day.rows)} super / "
+                   f"{len(sub_day.rows)} sub")
     ckpt_path = run_dir / f"day{max(cfg.train_days)}.ckpt"
     model.save(ckpt_path, plug, opt, extra={"cursor_day": max(cfg.train_days),
                                             "knowledge_version": 0})

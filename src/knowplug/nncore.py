@@ -42,6 +42,25 @@ def glorot_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> Matri
     return rng.uniform(-bound, bound, size=(in_dim, out_dim)).astype(np.float32)
 
 
+class Module:
+    """Anything with named parameters: walk_slots() yields (name, owner,
+    attribute) for every parameter array, in a fixed order."""
+
+    def walk_slots(self):
+        raise NotImplementedError
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+
+
+def accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
+    """Add `g` into grads[name]; the first contribution is stored as is."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -152,6 +171,20 @@ class MlpStack:
     def layer_dims(self) -> list[int]:
         return [self.layers[0].in_dim] + [l.out_dim for l in self.layers]
 
+    def slots(self, prefix: str):
+        """Parameter slots `{prefix}_l{i}_w` and `{prefix}_l{i}_b`, layer order."""
+        for i, layer in enumerate(self.layers):
+            yield f"{prefix}_l{i}_w", layer, "weight"
+            yield f"{prefix}_l{i}_b", layer, "bias"
+
+    def add_grads(self, grads: dict[str, np.ndarray], prefix: str,
+                  layer_grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Accumulate backward()'s per-layer (dW, db) under the names of
+        slots(prefix)."""
+        flat = (g for pair in layer_grads for g in pair)
+        for (name, _, _), g in zip(self.slots(prefix), flat):
+            accumulate(grads, name, g)
+
     def forward(self, x: Matrix) -> tuple[Matrix, list[Matrix]]:
         trace = []
         h = x
@@ -182,16 +215,6 @@ class MlpStack:
             grads[i] = (h_prev.T @ d, d.sum(axis=0))
             d = d @ layer.weight.T
         return grads, d
-
-
-def mlp_forward(stack: MlpStack, x: Matrix) -> tuple[Matrix, list[Matrix]]:
-    """Forward pass returning (logits, trace of every layer output)."""
-    return stack.forward(x)
-
-
-def mlp_backward(stack: MlpStack, x: Matrix, trace: list[Matrix],
-                 upstream: Matrix) -> tuple[list[tuple[np.ndarray, np.ndarray]], Matrix]:
-    return stack.backward(x, trace, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +351,11 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         v += (1.0 - state.beta2) * (g * g - v)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params
+
+
+def adam_update(state: AdamState, params: dict[str, np.ndarray],
+                grads: dict[str, np.ndarray]) -> None:
+    """adam_step over every parameter; one the loss did not reach gets a
+    zero gradient, so its moments still decay."""
+    adam_step(state, params, {k: grads[k] if k in grads else np.zeros_like(v)
+                              for k, v in params.items()})

@@ -18,7 +18,7 @@ receives gradients; the extractor stays frozen by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,12 @@ from . import checkpoint as ckpt
 from .datagen import ImpressionRecord, RecordBatch
 from .extractor import KnowledgeVector, pointwise_loss_grad
 from .features import SparseFeatureNet, assign_params, batch_features
-from .nncore import AdamState, MlpStack, ShapeError, adam_step
+from .nncore import AdamState, MlpStack, Module, ShapeError, adam_update
+
+
+# The default plug point: the output of the fourth-last MLP layer, 32 wide
+# under the default mlp_dims.
+PLUG_LAYER = -4
 
 
 @dataclass
@@ -37,7 +42,7 @@ class DownstreamConfig:
     feature_dim: int = 16
     mlp_dims: tuple[int, ...] = (64, 32, 16, 8, 2)
     att_hidden: int = 8
-    plug_layer: int = -2
+    plug_layer: int = PLUG_LAYER
     seed: int = 0
 
     def validate(self) -> None:
@@ -49,7 +54,7 @@ class DownstreamConfig:
             raise ValueError("plug_layer must leave at least one layer after it")
 
 
-class DownstreamModel:
+class DownstreamModel(Module):
     def __init__(self, cfg: DownstreamConfig):
         cfg.validate()
         self.cfg = cfg
@@ -72,12 +77,7 @@ class DownstreamModel:
 
     def walk_slots(self):
         yield from self.encoder.walk_slots()
-        for i, layer in enumerate(self.main.layers):
-            yield f"main_l{i}_w", layer, "weight"
-            yield f"main_l{i}_b", layer, "bias"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+        yield from self.main.slots("main")
 
     def forward_batch(self, batch: RecordBatch, plug: "PlugInNetwork | None" = None,
                       knowledge: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
@@ -110,6 +110,7 @@ class DownstreamModel:
         x = cache["x"]
         d = np.stack([dlogit, -dlogit], axis=1)
         plug_idx = self.plug_index if cache["plugged"] else None
+        layer_grads = [None] * len(self.main.layers)
         for l in range(len(self.main.layers) - 1, -1, -1):
             layer = self.main.layers[l]
             if layer.activation == "relu":
@@ -117,31 +118,25 @@ class DownstreamModel:
             prev = trace[l - 1] if l > 0 else x
             if plug_idx is not None and l - 1 == plug_idx:
                 prev = prev + cache["plug"]["out"]
-            grads_w = prev.T @ d
-            _acc(grads, f"main_l{l}_w", grads_w)
-            _acc(grads, f"main_l{l}_b", d.sum(axis=0))
+            layer_grads[l] = (prev.T @ d, d.sum(axis=0))
             d = d @ layer.weight.T
             if plug_idx is not None and l - 1 == plug_idx:
                 plug.backward(cache["plug"], d, grads)
+        self.main.add_grads(grads, "main", layer_grads)
         self.encoder.backward(cache["enc"], d, grads)
 
     def save(self, path, plug: "PlugInNetwork | None" = None,
              optimizer: AdamState | None = None, extra: dict | None = None) -> None:
-        tensors = dict(self.params())
-        config = {"model": _cfgdict(self.cfg), "plug": None}
+        tensors = self.params()
+        config = {"model": self.cfg, "plug": None}
         if plug is not None:
             tensors.update(plug.params())
             config["plug"] = {"knowledge_dim": plug.knowledge_dim,
                               "out_dim": plug.out_dim, "hidden": plug.hidden}
-        meta = dict(extra or {})
-        if optimizer is not None:
-            tensors.update(ckpt.optimizer_tensors(optimizer))
-            meta["adam_step"] = optimizer.step
-            meta["adam_lr"] = optimizer.lr
-        ckpt.save_checkpoint(path, "downstream", config, tensors, meta)
+        ckpt.save_checkpoint(path, "downstream", config, tensors, extra, optimizer)
 
 
-class PlugInNetwork:
+class PlugInNetwork(Module):
     """Shallow projection MLP: knowledge -> vector of the plugged layer's
     width. Final layer zero-initialized so a fresh plug is a no-op."""
 
@@ -157,12 +152,7 @@ class PlugInNetwork:
             final.bias[...] = 0.0
 
     def walk_slots(self):
-        for i, layer in enumerate(self.net.layers):
-            yield f"plug_l{i}_w", layer, "weight"
-            yield f"plug_l{i}_b", layer, "bias"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+        return self.net.slots("plug")
 
     def project(self, knowledge: np.ndarray) -> tuple[np.ndarray, dict]:
         if knowledge.shape[1] != self.knowledge_dim:
@@ -172,24 +162,7 @@ class PlugInNetwork:
 
     def backward(self, cache: dict, dout: np.ndarray, grads: dict) -> None:
         layer_grads, _ = self.net.backward(cache["k"], cache["trace"], dout)
-        for i, (dw, db) in enumerate(layer_grads):
-            _acc(grads, f"plug_l{i}_w", dw)
-            _acc(grads, f"plug_l{i}_b", db)
-
-
-def _acc(grads: dict, name: str, g: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
-
-
-def _cfgdict(cfg) -> dict:
-    d = asdict(cfg)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = list(v)
-    return d
+        self.net.add_grads(grads, "plug", layer_grads)
 
 
 def forward_with_plug(model: DownstreamModel, plug: PlugInNetwork | None,
@@ -241,36 +214,26 @@ def train_step(model: DownstreamModel, plug: PlugInNetwork | None,
         knowledge, found = knowledge_lookup(batch)
         missing = int(len(found) - found.sum())
     loss, grads = click_loss_and_grads(model, plug, batch, knowledge)
-    params = dict(model.params())
+    params = model.params()
     if plug is not None:
         params.update(plug.params())
-    full = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in params.items()}
-    adam_step(optimizer, params, full)
+    adam_update(optimizer, params, grads)
     return TrainStepResult(loss=loss, n=len(batch), missing_knowledge=missing)
 
 
 def load_downstream(path) -> tuple[DownstreamModel, PlugInNetwork | None,
                                    AdamState | None, dict]:
-    kind, config, tensors, extra = ckpt.load_checkpoint(path)
-    if kind != "downstream":
-        raise ckpt.CheckpointError(f"{path}: expected a downstream checkpoint, got '{kind}'")
-    mcfg = dict(config["model"])
-    mcfg["mlp_dims"] = tuple(mcfg["mlp_dims"])
-    model = DownstreamModel(DownstreamConfig(**mcfg))
+    c = ckpt.load_checkpoint(path, "downstream")
+    model = DownstreamModel(ckpt.config_from(DownstreamConfig, c.config["model"]))
     plug = None
     slots = list(model.walk_slots())
-    if config["plug"] is not None:
-        pc = config["plug"]
+    if c.config["plug"] is not None:
+        pc = c.config["plug"]
         plug = PlugInNetwork(pc["knowledge_dim"], pc["out_dim"],
                              np.random.default_rng(0), hidden=pc["hidden"])
         slots += list(plug.walk_slots())
-    params = {k: v for k, v in tensors.items() if not k.startswith("adam.")}
-    assign_params(slots, params)
-    opt = None
-    if "adam_step" in extra:
-        opt = AdamState(lr=float(extra["adam_lr"]))
-        ckpt.restore_optimizer(opt, tensors, extra)
-    return model, plug, opt, extra
+    assign_params(slots, c.model_tensors())
+    return model, plug, c.optimizer(), c.extra
 
 
 def warm_start(checkpoint_path, new_plug_knowledge_dim: int | None = None,

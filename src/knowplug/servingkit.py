@@ -20,17 +20,17 @@ bit-exactly.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Catalog, RecordBatch, day_order
-from .extractor import pointwise_loss_grad, pairwise_loss_grad, day_triplets
-from .features import SparseFeatureNet, batch_features
-from .nncore import AdamState, MlpStack, ShapeError, adam_step
+from . import checkpoint as ckpt
+from .datagen import Catalog, RecordBatch
+from .extractor import DaySteps, hybrid_loss_grad, with_pairs
+from .features import SparseFeatureNet, assign_params, batch_features
+from .nncore import AdamState, MlpStack, Module, ShapeError, adam_update
 
 SNAPSHOT_MAGIC = b"GKS1"
 SNAPSHOT_FORMAT_VERSION = 1
@@ -53,7 +53,7 @@ class DecomposedConfig:
     seed: int = 0
 
 
-class DecomposedExtractor:
+class DecomposedExtractor(Module):
     """Two-tower click model: logit = <user tower, item tower>.
 
     The user tower sees the user id and a mean-pooled behavior sequence
@@ -69,29 +69,20 @@ class DecomposedExtractor:
                   "shop": cfg.shop_vocab, "category": cfg.category_vocab}
         self.user_encoder = SparseFeatureNet(
             vocabs, rng, include=("user",), user_dim=cfg.user_dim,
-            feature_dim=cfg.feature_dim, pool="mean")
+            feature_dim=cfg.feature_dim, pool="mean", prefix="ut_")
         self.user_tower = MlpStack.build(
             [self.user_encoder.out_dim, cfg.tower_hidden, cfg.knowledge_dim], rng)
         self.item_encoder = SparseFeatureNet(
             vocabs, rng, include=("item", "shop", "category"),
-            feature_dim=cfg.feature_dim, pool="none")
+            feature_dim=cfg.feature_dim, pool="none", prefix="it_")
         self.item_tower = MlpStack.build(
             [self.item_encoder.out_dim, cfg.tower_hidden, cfg.knowledge_dim], rng)
 
     def walk_slots(self):
-        for name, obj, attr in self.user_encoder.walk_slots():
-            yield f"ut_{name}", obj, attr
-        for i, layer in enumerate(self.user_tower.layers):
-            yield f"ut_l{i}_w", layer, "weight"
-            yield f"ut_l{i}_b", layer, "bias"
-        for name, obj, attr in self.item_encoder.walk_slots():
-            yield f"it_{name}", obj, attr
-        for i, layer in enumerate(self.item_tower.layers):
-            yield f"it_l{i}_w", layer, "weight"
-            yield f"it_l{i}_b", layer, "bias"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+        yield from self.user_encoder.walk_slots()
+        yield from self.user_tower.slots("ut")
+        yield from self.item_encoder.walk_slots()
+        yield from self.item_tower.slots("it")
 
     def user_vectors(self, feats: dict) -> tuple[np.ndarray, dict]:
         x, enc = self.user_encoder.forward(feats)
@@ -118,13 +109,8 @@ class DecomposedExtractor:
                 ("ut", self.user_tower, self.user_encoder, cache["u"], dku),
                 ("it", self.item_tower, self.item_encoder, cache["i"], dki)):
             layer_grads, dx = tower.backward(c["x"], c["trace"], d)
-            for i, (dw, db) in enumerate(layer_grads):
-                _acc(grads, f"{prefix}_l{i}_w", dw)
-                _acc(grads, f"{prefix}_l{i}_b", db)
-            sub: dict[str, np.ndarray] = {}
-            enc.backward(c["enc"], dx, sub)
-            for k, g in sub.items():
-                _acc(grads, f"{prefix}_{k}", g)
+            tower.add_grads(grads, prefix, layer_grads)
+            enc.backward(c["enc"], dx, grads)
 
 
 @dataclass
@@ -139,7 +125,7 @@ class DegeneratedConfig:
     seed: int = 0
 
 
-class DegeneratedExtractor:
+class DegeneratedExtractor(Module):
     """Interaction model with item-side features replaced by the
     category: attention pools behaviors against the category embedding,
     the head's second-last layer output is the per-(user, category)
@@ -154,7 +140,7 @@ class DegeneratedExtractor:
         self.encoder = SparseFeatureNet(
             vocabs, rng, include=("user", "category"), user_dim=cfg.user_dim,
             feature_dim=cfg.feature_dim, pool="attention", pool_target="category",
-            att_hidden=cfg.att_hidden)
+            att_hidden=cfg.att_hidden, prefix="dg_")
         self.head = MlpStack.build([self.encoder.out_dim, *cfg.head_dims], rng)
 
     @property
@@ -162,14 +148,8 @@ class DegeneratedExtractor:
         return self.cfg.head_dims[-2]
 
     def walk_slots(self):
-        for name, obj, attr in self.encoder.walk_slots():
-            yield f"dg_{name}", obj, attr
-        for i, layer in enumerate(self.head.layers):
-            yield f"dg_l{i}_w", layer, "weight"
-            yield f"dg_l{i}_b", layer, "bias"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(obj, attr) for name, obj, attr in self.walk_slots()}
+        yield from self.encoder.walk_slots()
+        yield from self.head.slots("dg")
 
     def _feats(self, batch: RecordBatch) -> dict:
         return {"user": batch.user_id, "category": batch.category_id,
@@ -190,20 +170,24 @@ class DegeneratedExtractor:
                        grads: dict[str, np.ndarray]) -> None:
         dout = np.stack([dlogit, -dlogit], axis=1)
         layer_grads, dx = self.head.backward(cache["x"], cache["trace"], dout)
-        for i, (dw, db) in enumerate(layer_grads):
-            _acc(grads, f"dg_l{i}_w", dw)
-            _acc(grads, f"dg_l{i}_b", db)
-        sub: dict[str, np.ndarray] = {}
-        self.encoder.backward(cache["enc"], dx, sub)
-        for k, g in sub.items():
-            _acc(grads, f"dg_{k}", g)
+        self.head.add_grads(grads, "dg", layer_grads)
+        self.encoder.backward(cache["enc"], dx, grads)
 
 
-def _acc(grads: dict, name: str, g: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
+SERVING_MODELS = {"decomposed": (DecomposedConfig, DecomposedExtractor),
+                  "degenerated": (DegeneratedConfig, DegeneratedExtractor)}
+
+
+def load_serving_model(path) -> DecomposedExtractor | DegeneratedExtractor:
+    """A decomposed or degenerated model from its checkpoint."""
+    c = ckpt.load_checkpoint(path)
+    if c.kind not in SERVING_MODELS:
+        raise ckpt.CheckpointError(f"{path}: expected a serving model checkpoint, "
+                                   f"got '{c.kind}'")
+    cfg_cls, model_cls = SERVING_MODELS[c.kind]
+    model = model_cls(ckpt.config_from(cfg_cls, c.config))
+    assign_params(model.walk_slots(), c.model_tensors())
+    return model
 
 
 def train_click_epoch(model, optimizer: AdamState, log: RecordBatch, days,
@@ -214,43 +198,19 @@ def train_click_epoch(model, optimizer: AdamState, log: RecordBatch, days,
     pairwise term."""
     day_means = []
     for day in sorted(days):
-        order = day_order(log.day, [day], seed)
-        day_batch = log.take(order)
-        trips = day_triplets(day_batch, "click", triplet_cap, (seed, day)) \
-            if alpha > 0 else None
-        n = len(day_batch)
-        steps = max(1, math.ceil(n / batch_size))
+        plan = DaySteps(log, day, seed, batch_size)
+        if alpha > 0:
+            plan.pair("click", plan.rows, triplet_cap, (seed, day))
         total = 0.0
-        for s in range(steps):
-            sl = np.arange(s * batch_size, min(n, (s + 1) * batch_size))
-            base = day_batch.take(sl)
-            parts = [base]
-            n_trip = 0
-            if trips is not None and len(trips):
-                lo = round(s * len(trips) / steps)
-                hi = round((s + 1) * len(trips) / steps)
-                n_trip = hi - lo
-                if n_trip:
-                    parts.append(day_batch.take(trips.pos_idx[lo:hi]))
-                    parts.append(day_batch.take(trips.neg_idx[lo:hi]))
-            full = parts[0] if len(parts) == 1 else RecordBatch.concat(parts)
-            logits, cache = model.score_batch(full)
-            nb = len(base)
-            loss, dpoint = pointwise_loss_grad(logits[:nb], base.click)
-            if n_trip:
-                pair, dpos, dneg = pairwise_loss_grad(
-                    logits[nb:nb + n_trip], logits[nb + n_trip:])
-                dlogit = np.concatenate([dpoint, alpha * dpos, alpha * dneg])
-                loss += alpha * pair
-            else:
-                dlogit = dpoint
+        for s in range(plan.steps):
+            base = plan.batch(s)
+            logits, cache = model.score_batch(with_pairs(base, plan.pairs(s).get("click")))
+            loss, dlogit = hybrid_loss_grad(logits, base.click, alpha)
             grads: dict[str, np.ndarray] = {}
-            model.backward_batch(cache, dlogit.astype(logits.dtype), grads)
-            params = model.params()
-            full_grads = {k: grads[k] if k in grads else np.zeros_like(v)
-                          for k, v in params.items()}
-            adam_step(optimizer, params, full_grads)
-            total += loss
+            model.backward_batch(cache, dlogit, grads)
+            adam_update(optimizer, model.params(), grads)
+            total += loss.hybrid
+        n = len(plan.rows)
         day_means.append(total / max(n, 1))
         if log_fn:
             log_fn(f"day {day}: loss/sample={day_means[-1]:.4f} ({n} impressions)")

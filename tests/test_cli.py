@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from knowplug import cli
 from knowplug.cli import main
-from knowplug.harness import ExperimentConfig, format_config
+from knowplug.gkc import GkcClient, GkcServer, VersionStore
+from knowplug.harness import ExperimentConfig, format_config, parse_config
+from knowplug.plugnet import DownstreamConfig
 
 from conftest import TINY_GEN
 
@@ -54,6 +57,53 @@ def test_experiment_subcommand_single_mode(cli_data, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "base" in out
     assert (tmp_path / "runs" / "grid_results.jsonl").exists()
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_train_plug_layer_default_matches_config_file(monkeypatch):
+    seen = []
+
+    def capture(bundle, cfg, seed, log_fn=None):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "ensure_data", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Captured):
+        main(["train", "--data-dir", "unused", "--mode", "keep"])
+    from_file = parse_config("mode = keep\n").plug_layer
+    assert seen[0].plug_layer == from_file
+    assert DownstreamConfig(item_vocab=1, shop_vocab=1,
+                            category_vocab=1).plug_layer == from_file
+
+
+def test_train_serving_mode_reads_knowledge_and_version(cli_data, tmp_path, capsys,
+                                                        monkeypatch):
+    runs = tmp_path / "runs"
+    argv = ["train", "--data-dir", str(cli_data), "--out-dir", str(runs), "--seed", "1",
+            "--mode", "keep_decomp_degen", "--version", "3"]
+    assert main(argv + ["--knowledge", "snapshot"]) == 0
+    local = _result_line(capsys.readouterr().out)
+
+    lookups = []
+    real_lookup = GkcClient.lookup
+    monkeypatch.setattr(GkcClient, "lookup",
+                        lambda client, quads: lookups.append(len(quads))
+                        or real_lookup(client, quads))
+    with GkcServer(VersionStore(), snapshot_dir=runs / "cache") as server:
+        assert server.load_snapshot_dir() == [3]
+        assert main(argv + ["--knowledge", f"gkc:{server.host}:{server.port}"]) == 0
+    served = _result_line(capsys.readouterr().out)
+    assert lookups
+    assert served == local
+
+
+def _result_line(out: str) -> str:
+    (line,) = [l for l in out.splitlines() if l.startswith("mode=keep_decomp_degen ")]
+    return line
 
 
 def test_serve_subcommand_help_only():

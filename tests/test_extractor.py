@@ -365,6 +365,21 @@ def test_pretrain_is_deterministic_and_resumable(tmp_path):
         assert np.array_equal(v, m4.params()[k]), k
 
 
+@pytest.mark.filterwarnings("ignore:no records for day 99")
+def test_empty_day_takes_no_optimizer_step():
+    log = random_records(np.random.default_rng(21), 40)
+    cfg = PretrainConfig(batch_size=16, seed=5)
+    runs = []
+    for days in ([0], [0, 99]):
+        model, opt = tiny_extractor(seed=22), AdamState(lr=cfg.lr)
+        pretrain(model, opt, log, days, cfg)
+        runs.append((model.params(), opt.step))
+    (p1, step1), (p2, step2) = runs
+    assert step1 == step2 == 3
+    for k, v in p1.items():
+        assert np.array_equal(v, p2[k]), k
+
+
 def test_hybrid_training_is_roughly_calibrated():
     """Mean predicted probability approaches the empirical positive rate
     when the pointwise term is present."""

@@ -1,6 +1,8 @@
+import gc
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -303,3 +305,24 @@ def test_concurrent_readers_see_single_version_per_entry(server, tmp_path):
     for t in threads:
         t.join(timeout=10)
     assert not errors, errors[:5]
+
+
+def test_finished_connections_leave_no_thread_objects(server):
+    """A connection's thread is garbage once the connection closes."""
+    def dead_threads():
+        gc.collect()
+        return sum(1 for o in gc.get_objects()
+                   if isinstance(o, threading.Thread) and o.ident is not None
+                   and not o.is_alive())
+
+    def serving():
+        return [t for t in threading.enumerate() if "_serve_conn" in t.name]
+
+    before = dead_threads()
+    for _ in range(200):
+        socket.create_connection((server.host, server.port), timeout=5).close()
+    deadline = time.monotonic() + 10
+    while serving() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not serving()
+    assert dead_threads() - before < 10

@@ -3,9 +3,8 @@ import pytest
 
 from knowplug.nncore import (AdamState, AttentionPooler, DenseLayer, EmbeddingTable,
                              MlpStack, NumericError, ShapeError, StateError,
-                             adam_step, attention_pool, masked_softmax,
-                             mlp_backward, mlp_forward)
-from knowplug.features import cast_params
+                             adam_step, attention_pool, masked_softmax)
+from knowplug.features import assign_params
 
 from oracles import attention_oracle, fd_grads, grad_report, layer_triples, \
     matmul_oracle, mlp_oracle
@@ -26,7 +25,7 @@ def test_zero_weights_give_zero_logits():
         layer.weight[...] = 0.0
         layer.bias[...] = 0.0
     x = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
-    logits, trace = mlp_forward(stack, x)
+    logits, trace = stack.forward(x)
     assert np.all(logits == 0.0)
     assert len(trace) == 2
 
@@ -41,7 +40,7 @@ def test_identity_relu_layer():
 def test_forward_matches_matmul_oracle():
     stack = build_stack([6, 5, 4, 3], seed=3)
     x = np.random.default_rng(4).normal(size=(7, 6)).astype(np.float32)
-    logits, trace = mlp_forward(stack, x)
+    logits, trace = stack.forward(x)
     ref = mlp_oracle(layer_triples(stack), x)
     assert np.max(np.abs(logits - ref)) < 1e-6
     # trace keeps every intermediate layer output
@@ -56,15 +55,15 @@ def test_forward_matches_matmul_oracle():
 def test_forward_is_deterministic():
     stack = build_stack([5, 4, 2], seed=9)
     x = np.random.default_rng(5).normal(size=(11, 5)).astype(np.float32)
-    a, _ = mlp_forward(stack, x)
-    b, _ = mlp_forward(stack, x)
+    a, _ = stack.forward(x)
+    b, _ = stack.forward(x)
     assert np.array_equal(a, b)
 
 
 def test_forward_shape_error():
     stack = build_stack([5, 4, 2], seed=9)
     with pytest.raises(ShapeError):
-        mlp_forward(stack, np.zeros((3, 4), dtype=np.float32))
+        stack.forward(np.zeros((3, 4), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +73,8 @@ def test_forward_shape_error():
 def test_backward_zero_upstream_gives_zero_grads():
     stack = build_stack([4, 3, 2], seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4)).astype(np.float32)
-    out, trace = mlp_forward(stack, x)
-    grads, dx = mlp_backward(stack, x, trace, np.zeros_like(out))
+    out, trace = stack.forward(x)
+    grads, dx = stack.backward(x, trace, np.zeros_like(out))
     for dw, db in grads:
         assert np.all(dw == 0) and np.all(db == 0)
     assert np.all(dx == 0)
@@ -85,8 +84,8 @@ def test_backward_single_linear_layer_closed_form():
     # loss = sum(out) => dW = x^T 1, db = n
     stack = build_stack([3, 2], seed=7)
     x = np.random.default_rng(8).normal(size=(5, 3)).astype(np.float32)
-    out, trace = mlp_forward(stack, x)
-    grads, _ = mlp_backward(stack, x, trace, np.ones_like(out))
+    out, trace = stack.forward(x)
+    grads, _ = stack.backward(x, trace, np.ones_like(out))
     expect_dw = x.T @ np.ones_like(out)
     assert np.allclose(grads[0][0], expect_dw, atol=1e-6)
     assert np.allclose(grads[0][1], np.full(2, 5.0), atol=1e-6)
@@ -96,17 +95,17 @@ def test_backward_trace_mismatch_is_state_error():
     stack = build_stack([3, 2], seed=7)
     x = np.zeros((2, 3), dtype=np.float32)
     with pytest.raises(StateError):
-        mlp_backward(stack, x, [], np.zeros((2, 2), dtype=np.float32))
+        stack.backward(x, [], np.zeros((2, 2), dtype=np.float32))
 
 
 def test_backward_matches_finite_differences():
     stack32 = build_stack([5, 7, 4, 1], seed=21)
     stack64 = build_stack([5, 7, 4, 1], seed=21)
-    cast_params(_stack_slots(stack64), np.float64)
+    _to_float64(_stack_slots(stack64))
     x = np.random.default_rng(22).normal(size=(9, 5)).astype(np.float32)
 
-    out, trace = mlp_forward(stack32, x)
-    grads, _ = mlp_backward(stack32, x, trace, np.ones_like(out))
+    out, trace = stack32.forward(x)
+    grads, _ = stack32.backward(x, trace, np.ones_like(out))
     analytic = {}
     for i, (dw, db) in enumerate(grads):
         analytic[f"l{i}_w"] = dw
@@ -114,7 +113,7 @@ def test_backward_matches_finite_differences():
 
     params64 = {name: getattr(o, a) for name, o, a in _stack_slots(stack64)}
     numeric = fd_grads(params64,
-                       lambda: float(mlp_forward(stack64, x.astype(np.float64))[0].sum()))
+                       lambda: float(stack64.forward(x.astype(np.float64))[0].sum()))
     ok, worst = grad_report(analytic, numeric)
     assert ok, worst
 
@@ -122,6 +121,10 @@ def test_backward_matches_finite_differences():
 def _stack_slots(stack):
     return [(f"l{i}_w", l, "weight") for i, l in enumerate(stack.layers)] + \
            [(f"l{i}_b", l, "bias") for i, l in enumerate(stack.layers)]
+
+
+def _to_float64(slots):
+    assign_params(slots, {name: getattr(o, a) for name, o, a in slots}, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def test_attention_backward_matches_finite_differences():
         analytic[f"att_l{i}_b"] = db
 
     p64 = build()
-    cast_params(_stack_slots(p64.att_mlp), np.float64)
+    _to_float64(_stack_slots(p64.att_mlp))
     b64, t64 = behav.copy(), tgt.copy()
     params = {f"att_l{i}_w": l.weight for i, l in enumerate(p64.att_mlp.layers)}
     params |= {f"att_l{i}_b": l.bias for i, l in enumerate(p64.att_mlp.layers)}

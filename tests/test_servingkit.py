@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knowplug.checkpoint import CheckpointError, save_checkpoint
 from knowplug.datagen import Catalog
 from knowplug.features import assign_params
 from knowplug.nncore import AdamState, ShapeError
@@ -9,9 +10,10 @@ from knowplug.servingkit import (DecomposedConfig, DecomposedExtractor,
                                  DegeneratedConfig, DegeneratedExtractor,
                                  KnowledgeSnapshot, build_snapshot,
                                  compose_serving_knowledge, count_cache_entries,
-                                 load_snapshot, save_snapshot, train_click_epoch)
+                                 load_serving_model, load_snapshot, save_snapshot,
+                                 train_click_epoch)
 
-from conftest import random_records
+from conftest import random_records, tiny_extractor
 from oracles import fd_grads, grad_report, perturb_params
 
 
@@ -195,6 +197,38 @@ def test_train_click_epoch_decreases_loss():
     train_click_epoch(model, AdamState(lr=0.01), log, [0], batch_size=50, seed=13)
     last, _ = model.score_batch(log)
     assert pointwise_loss(last, log.click) < before
+
+
+@pytest.mark.filterwarnings("ignore:no records for day 99")
+def test_train_click_epoch_takes_no_step_on_an_empty_day():
+    log = random_records(np.random.default_rng(15), 120)
+    runs = []
+    for days in ([0], [0, 99]):
+        model, opt = make_degenerated(seed=16), AdamState(lr=0.01)
+        train_click_epoch(model, opt, log, days, batch_size=50, seed=17, alpha=0.5)
+        runs.append((model.params(), opt.step))
+    (p1, step1), (p2, step2) = runs
+    assert step1 == step2 == 3
+    for k, v in p1.items():
+        assert np.array_equal(v, p2[k]), k
+
+
+@pytest.mark.parametrize("kind", ["decomposed", "degenerated"])
+def test_serving_model_checkpoint_round_trip(tmp_path, kind):
+    model = make_decomposed(seed=18) if kind == "decomposed" else make_degenerated(seed=18)
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(path, kind, model.cfg, model.params())
+    back = load_serving_model(path)
+    assert type(back) is type(model) and back.cfg == model.cfg
+    for name, arr in model.params().items():
+        assert np.array_equal(arr, back.params()[name]), name
+
+
+def test_serving_model_loader_rejects_other_kinds(tmp_path):
+    path = tmp_path / "e.ckpt"
+    tiny_extractor(seed=19).save(path)
+    with pytest.raises(CheckpointError, match="serving model"):
+        load_serving_model(path)
 
 
 # ---------------------------------------------------------------------------
