@@ -418,10 +418,10 @@ def pretrain(model: ExtractorModel, optimizer: AdamState, log: RecordBatch,
                 agg.n_triplets += tl.n_triplets
         history.append({"day": day, **{t: vars(v) for t, v in day_losses.items()}})
         if log_fn:
-            clk_loss = day_losses["click"]
-            log_fn(f"day {day}: click point/sample="
-                   f"{clk_loss.point / max(clk_loss.n, 1):.4f} "
-                   f"({clk_loss.n} impressions, {clk_loss.n_triplets} triplets)")
+            log_fn(f"day {day}: " + ", ".join(
+                f"{t} point/sample={tl.point / max(tl.n, 1):.4f} "
+                f"({tl.n} rows, {tl.n_triplets} triplets)"
+                for t, tl in day_losses.items()))
         if checkpoint_path:
             model.save(checkpoint_path, optimizer, extra={"cursor_day": day})
     return history
@@ -475,8 +475,8 @@ def extract_knowledge_batch(model: ExtractorModel, batch: RecordBatch) -> np.nda
     parts = [x[:, :cfg.user_dim + 3 * cfg.feature_dim]]
     for task in TASKS:
         if task in model.heads:
-            _, trace = model.heads[task].forward(x)
-            parts.append(trace[-2])
+            k_ui, _ = MlpStack(model.heads[task].layers[:-1]).forward(x)
+            parts.append(k_ui)
         else:
             parts.append(np.zeros((n, cfg.head_dims[-2]), dtype=x.dtype))
     return np.concatenate(parts, axis=1)

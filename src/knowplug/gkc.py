@@ -323,7 +323,7 @@ class GkcServer:
             while True:
                 try:
                     frame_type, payload = read_frame(rfile)
-                except ConnectionError:
+                except OSError:  # peer gone, or stop() closed the socket
                     return
                 except ProtocolError as exc:
                     self._send(conn, FRAME_ERROR, encode_error(ERR_PROTOCOL, str(exc)))

@@ -41,7 +41,7 @@ from .datagen import Catalog, GeneratorConfig, RecordBatch, generate, load_log_c
 from .extractor import DaySteps, ExtractorConfig, ExtractorModel, PretrainConfig, TASKS, \
     extract_knowledge_batch, knowledge_dim, knowledge_slices, pretrain, pretrain_day, \
     pretrain_day_step
-from .gkc import GkcClient, LookupQuadruple
+from .gkc import STATUS_OK, GkcClient, LookupQuadruple
 from .nncore import AdamState
 from .plugnet import PLUG_LAYER, DownstreamConfig, DownstreamModel, PlugInNetwork, \
     train_step, warm_start
@@ -363,6 +363,24 @@ class ExtractorKnowledge(KnowledgeSource):
         return mat, np.ones(len(batch), dtype=bool)
 
 
+def mask_serving_slots(mat: np.ndarray, found_u: np.ndarray, found_i: np.ndarray,
+                       found_uc: np.ndarray, slots: tuple[str, ...], user_dim: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero the serving-vector slices of the strategies not in `slots`
+    ([ku ; ki ; ku*ki] is decomposed, kuc degenerated). A row counts as
+    found when each kept strategy found all of its keys."""
+    found = np.ones(len(mat), dtype=bool)
+    if "decomposed" in slots:
+        found &= found_u & found_i
+    else:
+        mat[:, :3 * user_dim] = 0.0
+    if "degenerated" in slots:
+        found &= found_uc
+    else:
+        mat[:, 3 * user_dim:] = 0.0
+    return mat, found
+
+
 class SnapshotKnowledge(KnowledgeSource):
     """Cached serving knowledge [ku ; ki ; ku*ki ; kuc] out of a snapshot,
     with per-strategy slot masking."""
@@ -374,23 +392,14 @@ class SnapshotKnowledge(KnowledgeSource):
 
     def __call__(self, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray]:
         snap = self.snapshot
-        mat, fu, fi, fuc = snap.compose_batch(batch.user_id, batch.item_id,
-                                              batch.category_id)
-        d = snap.user_dim
-        found = np.ones(len(batch), dtype=bool)
-        if "decomposed" in self.slots:
-            found &= fu & fi
-        else:
-            mat[:, :3 * d] = 0.0
-        if "degenerated" in self.slots:
-            found &= fuc
-        else:
-            mat[:, 3 * d:] = 0.0
-        return mat, found
+        return mask_serving_slots(
+            *snap.compose_batch(batch.user_id, batch.item_id, batch.category_id),
+            self.slots, snap.user_dim)
 
 
 class GkcKnowledge(KnowledgeSource):
-    """Serving knowledge fetched from a running GKC service."""
+    """Serving knowledge fetched from a running GKC service; an entry's
+    found bits count only if its version answered."""
 
     def __init__(self, host: str, port: int, version: int, dim: int,
                  slots: tuple[str, ...], user_dim: int):
@@ -405,19 +414,9 @@ class GkcKnowledge(KnowledgeSource):
                  for u, i, c in zip(batch.user_id, batch.item_id, batch.category_id)]
         entries = self.client.lookup(quads)
         mat = np.stack([e.vector for e in entries])
-        found = np.ones(len(batch), dtype=bool)
-        d = self.user_dim
-        if "decomposed" in self.slots:
-            found &= np.array([(e.found_mask & 3) == 3 and e.status == 0
-                               for e in entries])
-        else:
-            mat[:, :3 * d] = 0.0
-        if "degenerated" in self.slots:
-            found &= np.array([(e.found_mask & 4) == 4 and e.status == 0
-                               for e in entries])
-        else:
-            mat[:, 3 * d:] = 0.0
-        return mat, found
+        bits = np.array([e.found_mask if e.status == STATUS_OK else 0 for e in entries])
+        return mask_serving_slots(mat, (bits & 1) > 0, (bits & 2) > 0, (bits & 4) > 0,
+                                  self.slots, self.user_dim)
 
     def close(self) -> None:
         self.client.close()

@@ -9,11 +9,15 @@ adds it to that layer's output:
     h_k     = proj(knowledge)
     h'_m    = h_m + h_k
 
-so the downstream architecture is unchanged and a previously trained
-checkpoint restores exactly. The projection's final layer is
-zero-initialized: attaching a plug to a warm-started model leaves its
-first forward pass identical to the pre-attach model. Knowledge never
-receives gradients; the extractor stays frozen by construction.
+The plug is a split of the model's one `MlpStack`, not a second layer
+loop: the layers up to m run as one stack, h_k is added, and the layers
+after m run as another; both halves share the main stack's layers, so
+the downstream architecture and its parameter names are unchanged and a
+previously trained checkpoint restores exactly. The projection's final
+layer is zero-initialized: attaching a plug to a warm-started model
+leaves its first forward pass identical to the pre-attach model.
+Knowledge never receives gradients; the extractor stays frozen by
+construction.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ class DownstreamConfig:
         if self.mlp_dims[-1] != 2:
             raise ValueError("the final MLP layer must emit 2 values")
         n = len(self.mlp_dims)
-        idx = self.plug_layer % n
-        if idx > n - 2:
+        if not -n <= self.plug_layer < n:
+            raise ValueError(f"plug_layer {self.plug_layer} names none of the "
+                             f"{n} MLP layers")
+        if self.plug_layer % n == n - 1:
             raise ValueError("plug_layer must leave at least one layer after it")
 
 
@@ -79,51 +85,43 @@ class DownstreamModel(Module):
         yield from self.encoder.walk_slots()
         yield from self.main.slots("main")
 
+    def _split(self) -> tuple[MlpStack, MlpStack]:
+        """The main stack cut after the plug layer; both halves share its
+        layers."""
+        cut = self.plug_index + 1
+        return MlpStack(self.main.layers[:cut]), MlpStack(self.main.layers[cut:])
+
     def forward_batch(self, batch: RecordBatch, plug: "PlugInNetwork | None" = None,
                       knowledge: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
         """Returns (logits, cache). With a plug, `knowledge` rows must align
-        with the batch; the plugged sum feeds the next layer while the trace
-        keeps the raw layer output for the backward pass."""
+        with the batch and the projection is added to the lower stack's
+        output before the upper stack runs."""
         x, enc_cache = self.encoder.forward(batch_features(batch, include_user=False))
-        cache: dict = {"x": x, "enc": enc_cache, "plugged": plug is not None}
-        h = x
-        trace = []
-        for l, layer in enumerate(self.main.layers):
-            h = layer.forward(h)
-            trace.append(h)
-            if plug is not None and l == self.plug_index:
-                if knowledge is None:
-                    raise ShapeError("plugged forward needs a knowledge matrix")
-                hk, plug_cache = plug.project(knowledge)
-                if hk.shape != h.shape:
-                    raise ShapeError(f"plug output {hk.shape} != layer output {h.shape}")
-                cache["plug"] = plug_cache
-                h = h + hk
-        cache["trace"] = trace
-        logits = h[:, 0] - h[:, 1]
-        return logits, cache
+        lower, upper = self._split()
+        h, lower_trace = lower.forward(x)
+        cache: dict = {"x": x, "enc": enc_cache, "lower": lower_trace}
+        if plug is not None:
+            if knowledge is None:
+                raise ShapeError("plugged forward needs a knowledge matrix")
+            hk, cache["plug"] = plug.project(knowledge)
+            if hk.shape != h.shape:
+                raise ShapeError(f"plug output {hk.shape} != layer output {h.shape}")
+            h = h + hk
+        cache["h"] = h
+        out, cache["upper"] = upper.forward(h)
+        return out[:, 0] - out[:, 1], cache
 
     def backward_batch(self, cache: dict, dlogit: np.ndarray,
                        grads: dict[str, np.ndarray],
                        plug: "PlugInNetwork | None" = None) -> None:
-        trace = cache["trace"]
-        x = cache["x"]
-        d = np.stack([dlogit, -dlogit], axis=1)
-        plug_idx = self.plug_index if cache["plugged"] else None
-        layer_grads = [None] * len(self.main.layers)
-        for l in range(len(self.main.layers) - 1, -1, -1):
-            layer = self.main.layers[l]
-            if layer.activation == "relu":
-                d = d * (trace[l] > 0)
-            prev = trace[l - 1] if l > 0 else x
-            if plug_idx is not None and l - 1 == plug_idx:
-                prev = prev + cache["plug"]["out"]
-            layer_grads[l] = (prev.T @ d, d.sum(axis=0))
-            d = d @ layer.weight.T
-            if plug_idx is not None and l - 1 == plug_idx:
-                plug.backward(cache["plug"], d, grads)
-        self.main.add_grads(grads, "main", layer_grads)
-        self.encoder.backward(cache["enc"], d, grads)
+        lower, upper = self._split()
+        upper_grads, dh = upper.backward(cache["h"], cache["upper"],
+                                         np.stack([dlogit, -dlogit], axis=1))
+        if "plug" in cache:
+            plug.backward(cache["plug"], dh, grads)
+        lower_grads, dx = lower.backward(cache["x"], cache["lower"], dh)
+        self.main.add_grads(grads, "main", lower_grads + upper_grads)
+        self.encoder.backward(cache["enc"], dx, grads)
 
     def save(self, path, plug: "PlugInNetwork | None" = None,
              optimizer: AdamState | None = None, extra: dict | None = None) -> None:
@@ -158,7 +156,7 @@ class PlugInNetwork(Module):
         if knowledge.shape[1] != self.knowledge_dim:
             raise ShapeError(f"knowledge dim {knowledge.shape[1]} != {self.knowledge_dim}")
         out, trace = self.net.forward(knowledge)
-        return out, {"k": knowledge, "trace": trace, "out": out}
+        return out, {"k": knowledge, "trace": trace}
 
     def backward(self, cache: dict, dout: np.ndarray, grads: dict) -> None:
         layer_grads, _ = self.net.backward(cache["k"], cache["trace"], dout)

@@ -151,20 +151,16 @@ class DegeneratedExtractor(Module):
         yield from self.encoder.walk_slots()
         yield from self.head.slots("dg")
 
-    def _feats(self, batch: RecordBatch) -> dict:
-        return {"user": batch.user_id, "category": batch.category_id,
-                "behavior": batch.behavior, "behavior_len": batch.behavior_len}
-
-    def forward(self, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Returns (logits, kuc, cache)."""
-        x, enc = self.encoder.forward(self._feats(batch))
-        out, trace = self.head.forward(x)
-        logits = out[:, 0] - out[:, 1]
-        return logits, trace[-2], {"x": x, "enc": enc, "trace": trace}
+    def uc_vectors(self, feats: dict) -> np.ndarray:
+        """Per-(user, category) knowledge: the head without its last layer."""
+        x, _ = self.encoder.forward(feats)
+        kuc, _ = MlpStack(self.head.layers[:-1]).forward(x)
+        return kuc
 
     def score_batch(self, batch: RecordBatch) -> tuple[np.ndarray, dict]:
-        logits, _, cache = self.forward(batch)
-        return logits, cache
+        x, enc = self.encoder.forward(batch_features(batch))
+        out, trace = self.head.forward(x)
+        return out[:, 0] - out[:, 1], {"x": x, "enc": enc, "trace": trace}
 
     def backward_batch(self, cache: dict, dlogit: np.ndarray,
                        grads: dict[str, np.ndarray]) -> None:
@@ -362,10 +358,8 @@ def build_snapshot(decomposed: DecomposedExtractor,
     for lo in range(0, len(pairs), batch_size):
         cu, cc = uc_u[lo:lo + batch_size], uc_c[lo:lo + batch_size]
         mat, lens = beh(cu)
-        x, _ = degenerated.encoder.forward(
+        uc_vecs[lo:lo + len(cu)] = degenerated.uc_vectors(
             {"user": cu, "category": cc, "behavior": mat, "behavior_len": lens})
-        _, trace = degenerated.head.forward(x)
-        uc_vecs[lo:lo + len(cu)] = trace[-2]
 
     return KnowledgeSnapshot(
         version=version, user_dim=decomposed.cfg.knowledge_dim,

@@ -365,6 +365,19 @@ def test_pretrain_is_deterministic_and_resumable(tmp_path):
         assert np.array_equal(v, m4.params()[k]), k
 
 
+def test_pretrain_log_reports_each_trained_task():
+    """A model trained without the click task still logs its day."""
+    log = random_records(np.random.default_rng(23), 40)
+    lines = []
+    history = pretrain(tiny_extractor(seed=24, tasks=("conversion",)), AdamState(),
+                       log, (0,), PretrainConfig(batch_size=16, seed=5),
+                       log_fn=lines.append)
+    conv = history[0]["conversion"]
+    assert lines == [f"day 0: conversion point/sample="
+                     f"{conv['point'] / max(conv['n'], 1):.4f} "
+                     f"({conv['n']} rows, {conv['n_triplets']} triplets)"]
+
+
 @pytest.mark.filterwarnings("ignore:no records for day 99")
 def test_empty_day_takes_no_optimizer_step():
     log = random_records(np.random.default_rng(21), 40)

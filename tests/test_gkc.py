@@ -326,3 +326,17 @@ def test_finished_connections_leave_no_thread_objects(server):
         time.sleep(0.01)
     assert not serving()
     assert dead_threads() - before < 10
+
+
+def test_reader_on_a_closed_socket_returns_quietly():
+    """stop() can close a connection before its reader thread has read a
+    frame; the reader then sees EBADF and must end without raising."""
+    store = VersionStore()
+    srv = GkcServer(store)
+    a, b = socket.socketpair()
+    a.close()
+    try:
+        srv._serve_conn(a)
+    finally:
+        b.close()
+        srv.stop()

@@ -258,8 +258,13 @@ def test_default_grid_and_ablation_cells():
 
 
 def test_knowledge_sources_slot_masking(tiny_bundle, tmp_path):
-    from knowplug.harness import build_snapshot_cached
-    from knowplug.servingkit import load_snapshot
+    """Snapshot masking per slot set, and the GKC source over the wire
+    answering bit-equal to the snapshot for every slot set, cold users
+    included; an evicted version answers like a snapshot holding nothing."""
+    from dataclasses import replace as dc_replace
+    from knowplug.gkc import GkcServer, VersionStore
+    from knowplug.harness import _SERVING_SLOTS, GkcKnowledge, build_snapshot_cached
+    from knowplug.servingkit import KnowledgeSnapshot, load_snapshot
     cfg = _cfg(tiny_bundle, tmp_path, mode="keep_decomposed")
     snap_path = build_snapshot_cached(tiny_bundle, cfg, 1, (0, 1),
                                       tmp_path / "cache", version=1)
@@ -271,6 +276,36 @@ def test_knowledge_sources_slot_masking(tiny_bundle, tmp_path):
     degen_only = SnapshotKnowledge(snap, ("degenerated",))
     mat2, _ = degen_only(batch)
     assert np.all(mat2[:, :3 * snap.user_dim] == 0)
+
+    d, duc = snap.user_dim, snap.uc_dim
+    empty = KnowledgeSnapshot(
+        version=0, user_dim=d, item_dim=d, uc_dim=duc,
+        user_keys=np.zeros(0, np.int64), user_vecs=np.zeros((0, d), np.float32),
+        item_keys=np.zeros(0, np.int64), item_vecs=np.zeros((0, d), np.float32),
+        uc_user_keys=np.zeros(0, np.int64), uc_cat_keys=np.zeros(0, np.int64),
+        uc_vecs=np.zeros((0, duc), np.float32))
+    batch = tiny_bundle.sub_log.take(np.arange(8))
+    batch.user_id[0] = int(snap.user_keys.max()) + 1  # cold user
+    store = VersionStore(max_versions=1)
+    store.publish_snapshot(snap)
+    store.publish_snapshot(dc_replace(snap, version=2))  # evicts version 1
+    with GkcServer(store) as server:
+        for slots in _SERVING_SLOTS.values():
+            for version, local in ((2, snap), (1, empty)):
+                source = GkcKnowledge(server.host, server.port, version,
+                                      snap.dim_total, slots, d)
+                try:
+                    got_mat, got_found = source(batch)
+                finally:
+                    source.close()
+                want_mat, want_found = SnapshotKnowledge(local, slots)(batch)
+                assert got_mat.dtype == want_mat.dtype
+                assert np.array_equal(got_mat, want_mat), (slots, version)
+                assert np.array_equal(got_found, want_found), (slots, version)
+                if version == 2:
+                    assert not want_found[0] and want_found[1:].any()
+                else:
+                    assert not want_found.any() and not want_mat.any()
 
 
 def test_extractor_knowledge_masking(tiny_bundle, tmp_path):

@@ -36,6 +36,18 @@ def test_plug_layer_must_leave_a_following_layer():
                          mlp_dims=(4, 2), plug_layer=-1).validate()
 
 
+@pytest.mark.parametrize("plug_layer", [5, 7, -7, -9])
+def test_out_of_range_plug_layer_rejected(plug_layer):
+    """With 5 layers only -5..3 name a layer with one after it; larger
+    values must not wrap around onto some other layer."""
+    with pytest.raises(ValueError, match="names none"):
+        DownstreamConfig(item_vocab=5, shop_vocab=2, category_vocab=2,
+                         plug_layer=plug_layer).validate()
+    for edge in (-5, 3):
+        DownstreamConfig(item_vocab=5, shop_vocab=2, category_vocab=2,
+                         plug_layer=edge).validate()
+
+
 def test_zero_final_plug_is_bitwise_noop():
     rng = np.random.default_rng(1)
     model = make_model(seed=2)
@@ -102,13 +114,15 @@ def test_forward_with_plug_single_record_probability():
     assert abs(p - 1.0 / (1.0 + np.exp(-float(logits[0])))) < 1e-12
 
 
-def test_click_loss_gradients_match_finite_differences():
-    model32 = make_model(seed=16, mlp=(8, 6, 4, 2), plug_layer=-3)
+@pytest.mark.parametrize("plug_layer", [-3, 0])
+def test_click_loss_gradients_match_finite_differences(plug_layer):
+    """At plug_layer 0 the stack below the plug is a single layer."""
+    model32 = make_model(seed=16, mlp=(8, 6, 4, 2), plug_layer=plug_layer)
     plug32 = make_plug(model32, kdim=6, seed=17, zero_final=False)
     all32 = dict(model32.params()) | dict(plug32.params())
     perturb_params(all32, np.random.default_rng(44))
 
-    model64 = make_model(seed=16, mlp=(8, 6, 4, 2), plug_layer=-3)
+    model64 = make_model(seed=16, mlp=(8, 6, 4, 2), plug_layer=plug_layer)
     plug64 = make_plug(model64, kdim=6, seed=17, zero_final=False)
     assign_params(list(model64.walk_slots()) + list(plug64.walk_slots()),
                   all32, dtype=np.float64)
@@ -127,6 +141,21 @@ def test_click_loss_gradients_match_finite_differences():
 
     ok, worst = grad_report(analytic, fd_grads(params64, loss))
     assert ok, worst
+
+
+def test_zero_final_plug_leaves_model_gradients_bit_equal():
+    rng = np.random.default_rng(45)
+    model = make_model(seed=46)
+    perturb_params(model.params(), rng)
+    plug = make_plug(model, seed=47, zero_final=True)
+    batch = random_records(rng, 13, n_items=30, n_shops=8, n_cats=6)
+    loss_plain, plain = click_loss_and_grads(model, None, batch, None)
+    loss_plugged, plugged = click_loss_and_grads(model, plug, batch,
+                                                 rand_knowledge(rng, 13))
+    assert loss_plain == loss_plugged
+    assert set(plugged) == set(plain) | set(plug.params())
+    for name, g in plain.items():
+        assert np.array_equal(g, plugged[name]), name
 
 
 def test_knowledge_receives_no_gradient_and_extractor_frozen():

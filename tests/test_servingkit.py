@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from knowplug.checkpoint import CheckpointError, save_checkpoint
 from knowplug.datagen import Catalog
-from knowplug.features import assign_params
+from knowplug.features import assign_params, batch_features
 from knowplug.nncore import AdamState, ShapeError
 from knowplug.servingkit import (DecomposedConfig, DecomposedExtractor,
                                  DegeneratedConfig, DegeneratedExtractor,
@@ -157,9 +157,12 @@ def test_degenerated_output_depends_only_on_user_and_category():
     clone = batch.take(np.arange(4))
     clone.item_id[:] = (clone.item_id + 11) % 30
     clone.shop_id[:] = (clone.shop_id + 3) % 8
-    _, kuc_a, _ = model.forward(batch)
-    _, kuc_b, _ = model.forward(clone)
+    kuc_a = model.uc_vectors(batch_features(batch))
+    kuc_b = model.uc_vectors(batch_features(clone))
     assert np.array_equal(kuc_a, kuc_b)
+    logits_a, _ = model.score_batch(batch)
+    logits_b, _ = model.score_batch(clone)
+    assert np.array_equal(logits_a, logits_b)
 
 
 def test_degenerated_gradients_match_finite_differences():
